@@ -142,3 +142,52 @@ func TestCompressedPlanAndCounters(t *testing.T) {
 		t.Fatalf("plain relations ran compressed: %+v", res.Timing)
 	}
 }
+
+// TestCompressedDecodeWorkPinned pins the decode work of every
+// strategy under CompressionOn on one seeded input. On the serial
+// engine the counters are deterministic, so all three must keep the
+// values recorded before raw and compressed inputs shared one operator
+// set. At 2 workers only the column count is pinned: which worker runs
+// a morsel decides block-cache hits, so the byte counters vary.
+func TestCompressedDecodeWorkPinned(t *testing.T) {
+	const pi = 2
+	larger, smaller := compressedRelations(t,
+		workload.Params{N: 20 << 10, Omega: pi + 1, HitRate: 1, SelLarger: 1, SelSmaller: 1, Seed: 49}, pi)
+	type counters struct{ cols, bytes, saved int64 }
+	for _, c := range []struct {
+		st     Strategy
+		lm, sm ProjMethod
+		serial counters
+	}{
+		{DSMPostDecluster, UnsortedMethod, UnsortedMethod, counters{6, 78240, 413280}},
+		{DSMPostDecluster, ClusterMethod, DeclusterMethod, counters{6, 78240, 413280}},
+		{DSMPostDecluster, SortedMethod, DeclusterMethod, counters{6, 78240, 413280}},
+		{DSMPre, AutoMethod, AutoMethod, counters{6, 78240, 413280}},
+		{NSMPreHash, AutoMethod, AutoMethod, counters{2, 356104, 258296}},
+		{NSMPrePhash, AutoMethod, AutoMethod, counters{2, 356104, 258296}},
+		{NSMPostDecluster, AutoMethod, AutoMethod, counters{4, 640680, 465240}},
+		{NSMPostJive, AutoMethod, AutoMethod, counters{2, 356104, 258296}},
+	} {
+		for _, par := range []int{0, 2} {
+			q := JoinQuery{
+				Larger: larger, Smaller: smaller,
+				LargerKey: "key", SmallerKey: "key",
+				LargerProject: projNames(pi), SmallerProject: projNames(pi),
+				Strategy: c.st, LargerMethod: c.lm, SmallerMethod: c.sm,
+				Compression: CompressionOn, Parallelism: par,
+			}
+			res, err := ProjectJoin(q)
+			if err != nil {
+				t.Fatalf("%v %c/%c workers=%d: %v", c.st, printable(byte(c.lm)), printable(byte(c.sm)), par, err)
+			}
+			got := counters{res.Timing.CompressedCols, res.Timing.CompressedBytes, res.Timing.CompressedSavedBytes}
+			if par > 0 {
+				got.bytes, got.saved = c.serial.bytes, c.serial.saved
+			}
+			if got != c.serial {
+				t.Errorf("%v %c/%c workers=%d: counters (cols, bytes, saved) = %v, want %v",
+					c.st, printable(byte(c.lm)), printable(byte(c.sm)), par, got, c.serial)
+			}
+		}
+	}
+}

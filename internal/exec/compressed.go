@@ -1,53 +1,30 @@
 package exec
 
-// Compressed execution: operators that consume block-compressed
-// columns (internal/compress) directly, decompressing per-morsel into
-// per-worker scratch so the tight loops run over L1-resident decoded
-// spans while the memory bus only carries the compressed bytes — the
-// paper's §5 footnote 5 "spend the bandwidth ceiling twice" idea.
+// Compressed execution (§5 footnote 5, "spend the bandwidth ceiling
+// twice"): an operator input Col may carry a block-compressed
+// encoding (internal/compress) as its execution format. The scan and
+// gather operators of col.go read it through their two primitives —
+// the span read decodes L1-sized spans into per-morsel decoder
+// scratch, the point gather decodes a dense oid region once or goes
+// through a one-block cache — so the tight loops run over decoded
+// values while the memory bus carries only the compressed bytes. This
+// file holds that decoder scratch and the CompStats accounting.
 //
 // The contract mirrors the rest of the engine: output bytes are a
 // function of the decoded values only, never of whether the input was
 // compressed, which engine ran it, or how morsels were scheduled. A
-// morsel over values [lo,hi) maps to the block range
+// decode of values [lo,hi) maps to the block range
 // [lo/BlockSize, ceil(hi/BlockSize)); interior blocks decode straight
-// into the output or scratch, boundary blocks through a stack
-// temporary inside compress.DecompressRangeInto.
+// into scratch, boundary blocks through a stack temporary inside
+// compress.DecompressRangeInto.
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"radixdecluster/internal/bat"
 	"radixdecluster/internal/compress"
-	"radixdecluster/internal/nsm"
-	"radixdecluster/internal/posjoin"
 )
-
-// Col is a column execution view: raw values, a block-compressed
-// encoding, or both. When Enc is non-nil the compressed form is the
-// execution format and Raw (if present) is ignored by the compressed
-// operators; the two must decode to identical values.
-type Col struct {
-	Raw []int32
-	Enc *compress.Encoded
-}
-
-// RawCol wraps a plain column.
-func RawCol(v []int32) Col { return Col{Raw: v} }
-
-// Len returns the column's value count.
-func (c Col) Len() int {
-	if c.Enc != nil {
-		return c.Enc.Len()
-	}
-	return len(c.Raw)
-}
-
-// Compressed reports whether the compressed form is the execution format.
-func (c Col) Compressed() bool { return c.Enc != nil }
 
 // CompStats counts a pipeline's compressed execution: how many
 // compressed column inputs its operators consumed, the encoded bytes
@@ -114,10 +91,10 @@ func (c *compCounters) noteSpan(enc *compress.Encoded, lo, hi int) {
 // L1-resident while the extraction loop runs over it.
 const decodeSpanValues = 4 * compress.BlockSize
 
-// decoder is per-worker compressed-column scratch: a range-decode
-// buffer plus a one-block cache for gathers. Both grow monotonically
-// and are reused across morsels; the decode loops never read them, so
-// stale contents are harmless.
+// decoder is compressed-column scratch: a range-decode buffer plus a
+// one-block cache for gathers. Both grow monotonically and are reused
+// across morsels; the decode loops never read stale contents, so they
+// are harmless.
 type decoder struct {
 	buf    []int32
 	blk    []int32
@@ -125,17 +102,28 @@ type decoder struct {
 	blkIdx int
 }
 
-// decoders pools decoder scratch for scan-shaped bodies that run
-// outside Pool.Run (shared scans serve chunks from whichever worker
-// holds a serve token, so the body cannot be bound to one worker's
-// Scratch up front).
+// decoders pools decoder scratch. Operator bodies take it per morsel
+// rather than from a worker's Scratch because shared scans serve
+// chunks from whichever worker holds a serve token, so a body cannot
+// be bound to one worker up front.
 var decoders = sync.Pool{New: func() any { return new(decoder) }}
 
-func getDecoder() *decoder { return decoders.Get().(*decoder) }
+// newDecoder returns pooled scratch when the morsel reads compressed
+// input and nil otherwise: raw reads never decode, so they never take
+// scratch.
+func newDecoder(compressed bool) *decoder {
+	if !compressed {
+		return nil
+	}
+	return decoders.Get().(*decoder)
+}
 
+// release returns the scratch to the pool (no-op on nil).
 func (d *decoder) release() {
-	d.blkEnc = nil // do not pin the column past the scan
-	decoders.Put(d)
+	if d != nil {
+		d.blkEnc = nil // do not pin the column past the morsel
+		decoders.Put(d)
+	}
 }
 
 // rangeInto decodes values [lo,hi) into the decoder's buffer and
@@ -156,13 +144,11 @@ func (d *decoder) rangeInto(cnt *compCounters, enc *compress.Encoded, lo, hi int
 }
 
 // fetch returns value idx of enc through the one-block cache — the
-// compressed analogue of col[idx] in a Positional-Join loop. Clustered
+// compressed analogue of col[idx] in a Positional-Join loop; the
+// caller bounds idx. Clustered
 // fetch patterns confine consecutive idx values to a cache-sized
 // region, so the same block serves long runs.
 func (d *decoder) fetch(cnt *compCounters, enc *compress.Encoded, idx int) (int32, error) {
-	if idx < 0 || idx >= enc.Len() {
-		return 0, fmt.Errorf("exec: compressed fetch: index %d out of range [0,%d)", idx, enc.Len())
-	}
 	b := idx / compress.BlockSize
 	if d.blkEnc != enc || d.blkIdx != b {
 		if cap(d.blk) < compress.BlockSize {
@@ -181,460 +167,6 @@ func (d *decoder) fetch(cnt *compCounters, enc *compress.Encoded, idx int) (int3
 	return d.blk[idx%compress.BlockSize], nil
 }
 
-// gatherSpanFactor / gatherRegionValues bound gather's region-decode
-// path: when one call's oids span at most gatherRegionValues values
-// and at most gatherSpanFactor times the gather count, the whole span
-// is decoded once into scratch and indexed raw — every block decodes
-// once per call instead of once per block-cache miss. Clustered fetch
-// patterns (the paper's point) always qualify: their oids are confined
-// to a cache-sized region. Sparse or unbounded spans fall back to the
-// one-block cache.
-const (
-	gatherSpanFactor   = 8
-	gatherRegionValues = 1 << 20
-)
-
-// gather is the compressed posjoin.FetchInto: dst[i] = enc[oids[i]].
-func (d *decoder) gather(cnt *compCounters, enc *compress.Encoded, oids []OID, dst []int32) error {
-	if len(oids) == 0 {
-		return nil
-	}
-	lo, hi := int(oids[0]), int(oids[0])
-	for _, o := range oids[1:] {
-		if int(o) < lo {
-			lo = int(o)
-		} else if int(o) > hi {
-			hi = int(o)
-		}
-	}
-	if hi >= enc.Len() {
-		return fmt.Errorf("exec: compressed gather: index %d out of range [0,%d)", hi, enc.Len())
-	}
-	if span := hi - lo + 1; span <= gatherRegionValues && span <= gatherSpanFactor*len(oids) {
-		lo -= lo % compress.BlockSize // align so interior blocks decode in place
-		buf, err := d.rangeInto(cnt, enc, lo, hi+1)
-		if err != nil {
-			return err
-		}
-		for i, o := range oids {
-			dst[i] = buf[int(o)-lo]
-		}
-		return nil
-	}
-	for i, o := range oids {
-		v, err := d.fetch(cnt, enc, int(o))
-		if err != nil {
-			return err
-		}
-		dst[i] = v
-	}
-	return nil
-}
-
-// decoder returns the worker's compressed-column scratch, allocated on
-// first use and kept for the worker's lifetime.
-func (s *Scratch) decoder() *decoder {
-	if s.dec == nil {
-		s.dec = new(decoder)
-	}
-	return s.dec
-}
-
-// serialDecoder is the engine-owned scratch for compressed operators
-// running without a pool (or below the parallel threshold).
-func (e *Engine) serialDecoder() *decoder {
-	if e.sdec == nil {
-		e.sdec = new(decoder)
-	}
-	return e.sdec
-}
-
 // CompStats returns the engine's accumulated compressed-execution
 // counters.
 func (e *Engine) CompStats() CompStats { return e.comp.snapshot() }
-
-// MaterializeCol returns the column's raw values, decompressing
-// chunk-parallel when the column is compressed. The decode is a
-// scan-shaped pass (declared for scan sharing under the encoded
-// stream's identity), so concurrent pipelines materializing the same
-// compressed column are served by one circular pass.
-func (e *Engine) MaterializeCol(c Col) ([]int32, error) {
-	if c.Enc == nil {
-		return c.Raw, nil
-	}
-	enc := c.Enc
-	e.comp.cols.Add(1)
-	out := make([]int32, enc.Len())
-	err := e.SharedRanges(EncScanKey(enc, enc.Len()), enc.Len(), func(r Range) error {
-		t := time.Now()
-		if err := enc.DecompressRangeInto(out[r.Lo:r.Hi], r.Lo, r.Hi); err != nil {
-			return err
-		}
-		e.comp.decodeNanos.Add(time.Since(t).Nanoseconds())
-		e.comp.noteSpan(enc, r.Lo, r.Hi)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// FetchManyCols is FetchMany over column views: raw columns take the
-// plain Positional-Join path, compressed columns gather through the
-// per-worker block cache. The affinity key is the oid-range chunk,
-// exactly as in Pool.FetchMany.
-func (e *Engine) FetchManyCols(cols []Col, oids []OID) ([][]int32, error) {
-	anyEnc := false
-	for _, c := range cols {
-		if c.Enc != nil {
-			anyEnc = true
-			break
-		}
-	}
-	if !anyEnc {
-		raws := make([][]int32, len(cols))
-		for i, c := range cols {
-			raws[i] = c.Raw
-		}
-		return e.FetchMany(raws, oids)
-	}
-	for _, c := range cols {
-		if c.Enc != nil {
-			e.comp.cols.Add(1)
-		}
-	}
-	out := make([][]int32, len(cols))
-	for c := range cols {
-		out[c] = make([]int32, len(oids))
-	}
-	if !e.parallel(len(oids)) {
-		d := e.serialDecoder()
-		for c := range cols {
-			if err := e.fetchColInto(out[c], cols[c], oids, d); err != nil {
-				return nil, fmt.Errorf("column %d: %w", c, err)
-			}
-		}
-		return out, nil
-	}
-	chunks := e.pool.chunksFor(len(oids))
-	ntasks := len(cols) * len(chunks)
-	errs := e.pool.errSlots(ntasks)
-	e.pool.RunAff(ntasks, func(t int) uint64 { return uint64(t % len(chunks)) }, func(_, t int, s *Scratch) {
-		c, r := t/len(chunks), chunks[t%len(chunks)]
-		if err := e.fetchColInto(out[c][r.Lo:r.Hi], cols[c], oids[r.Lo:r.Hi], s.decoder()); err != nil {
-			errs[t] = fmt.Errorf("column %d: %w", c, err)
-		}
-	})
-	if err := firstErr(errs); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-func (e *Engine) fetchColInto(dst []int32, col Col, oids []OID, d *decoder) error {
-	if col.Enc == nil {
-		return posjoin.FetchInto(dst, col.Raw, oids)
-	}
-	return d.gather(&e.comp, col.Enc, oids, dst)
-}
-
-// ClusteredCol is the clustered Positional-Join over a column view:
-// each cluster's random access stays inside one cache-sized region of
-// the source, which for a compressed column means long runs against
-// the same cached block.
-func (e *Engine) ClusteredCol(col Col, oids []OID, borders []bat.Border) ([]int32, error) {
-	if col.Enc == nil {
-		return e.Clustered(col.Raw, oids, borders)
-	}
-	e.comp.cols.Add(1)
-	if err := bat.ValidateBorders(borders, len(oids)); err != nil {
-		return nil, err
-	}
-	out := make([]int32, len(oids))
-	if !e.parallel(len(oids)) {
-		d := e.serialDecoder()
-		for _, b := range borders {
-			if err := d.gather(&e.comp, col.Enc, oids[b.Start:b.End], out[b.Start:b.End]); err != nil {
-				return nil, err
-			}
-		}
-		return out, nil
-	}
-	groups := groupBorders(borders, e.pool.workers*morselsPerWorker, len(oids))
-	errs := e.pool.errSlots(len(groups))
-	e.pool.Run(len(groups), func(_, t int, s *Scratch) {
-		d := s.decoder()
-		for _, b := range borders[groups[t].Lo:groups[t].Hi] {
-			if err := d.gather(&e.comp, col.Enc, oids[b.Start:b.End], out[b.Start:b.End]); err != nil {
-				errs[t] = err
-				return
-			}
-		}
-	})
-	if err := firstErr(errs); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// encRecords validates a compressed NSM image and returns its record
-// count.
-func encRecords(enc *compress.Encoded, width int) (int, error) {
-	if width <= 0 {
-		return 0, fmt.Errorf("exec: compressed image with width %d", width)
-	}
-	if enc.Len()%width != 0 {
-		return 0, fmt.Errorf("exec: compressed image of %d values is not a multiple of width %d", enc.Len(), width)
-	}
-	return enc.Len() / width, nil
-}
-
-// ScanColumnEnc extracts attribute col from a block-compressed
-// row-major image of width-wide records: each morsel decodes its
-// record range in L1-sized spans into per-worker scratch and strides
-// over the decoded span. Declared for scan sharing under the encoded
-// stream's identity.
-func (e *Engine) ScanColumnEnc(enc *compress.Encoded, width, col int) ([]int32, error) {
-	n, err := encRecords(enc, width)
-	if err != nil {
-		return nil, err
-	}
-	if col < 0 || col >= width {
-		return nil, fmt.Errorf("exec: ScanColumnEnc: column %d outside width %d", col, width)
-	}
-	e.comp.cols.Add(1)
-	out := make([]int32, n)
-	err = e.SharedRanges(EncScanKey(enc, n), n, func(r Range) error {
-		d := getDecoder()
-		defer d.release()
-		step := decodeSpanValues / width
-		if step < 1 {
-			step = 1
-		}
-		for lo := r.Lo; lo < r.Hi; {
-			hi := lo + step
-			if hi > r.Hi {
-				hi = r.Hi
-			}
-			buf, err := d.rangeInto(&e.comp, enc, lo*width, hi*width)
-			if err != nil {
-				return err
-			}
-			for i, p := lo, col; i < hi; i, p = i+1, p+width {
-				out[i] = buf[p]
-			}
-			lo = hi
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// ScanProjectEnc materialises the projection of the given attribute
-// offsets from a block-compressed row-major image as a new raw NSM
-// relation — the compressed-input ScanProject.
-func (e *Engine) ScanProjectEnc(name string, enc *compress.Encoded, width int, cols []int) (*nsm.Relation, error) {
-	n, err := encRecords(enc, width)
-	if err != nil {
-		return nil, err
-	}
-	for _, c := range cols {
-		if c < 0 || c >= width {
-			return nil, fmt.Errorf("exec: ScanProjectEnc: column %d outside width %d", c, width)
-		}
-	}
-	e.comp.cols.Add(1)
-	out := nsm.New(name, n, len(cols))
-	err = e.SharedRanges(EncScanKey(enc, n), n, func(r Range) error {
-		d := getDecoder()
-		defer d.release()
-		step := decodeSpanValues / width
-		if step < 1 {
-			step = 1
-		}
-		w := len(cols)
-		for lo := r.Lo; lo < r.Hi; {
-			hi := lo + step
-			if hi > r.Hi {
-				hi = r.Hi
-			}
-			buf, err := d.rangeInto(&e.comp, enc, lo*width, hi*width)
-			if err != nil {
-				return err
-			}
-			for i := lo; i < hi; i++ {
-				rec := buf[(i-lo)*width : (i-lo)*width+width]
-				dst := out.Data[i*w : i*w+w]
-				for k, c := range cols {
-					dst[k] = rec[c]
-				}
-			}
-			lo = hi
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// GatherProjectEncInto fetches the attributes named by cols from the
-// records selected by oids out of a block-compressed row-major image,
-// writing dstWidth-wide records at field offset dstOff — the
-// compressed-input GatherProjectInto. Random record access runs
-// through the per-worker block cache; partially clustered oid orders
-// turn it into long same-block runs.
-func (e *Engine) GatherProjectEncInto(enc *compress.Encoded, width int, dst []int32, dstWidth, dstOff int, oids []OID, cols []int) error {
-	if _, err := encRecords(enc, width); err != nil {
-		return err
-	}
-	if dstOff < 0 || dstOff+len(cols) > dstWidth {
-		return fmt.Errorf("exec: GatherProjectEncInto: fields [%d,%d) outside record width %d", dstOff, dstOff+len(cols), dstWidth)
-	}
-	if len(dst) != len(oids)*dstWidth {
-		return fmt.Errorf("exec: GatherProjectEncInto: dst holds %d records, want %d", len(dst)/dstWidth, len(oids))
-	}
-	for _, c := range cols {
-		if c < 0 || c >= width {
-			return fmt.Errorf("exec: GatherProjectEncInto: column %d outside width %d", c, width)
-		}
-	}
-	n, _ := encRecords(enc, width)
-	e.comp.cols.Add(1)
-	return e.ForRanges(len(oids), func(r Range) error {
-		if r.Hi <= r.Lo {
-			return nil
-		}
-		d := getDecoder()
-		defer d.release()
-		lo, hi := int(oids[r.Lo]), int(oids[r.Lo])
-		for _, o := range oids[r.Lo+1 : r.Hi] {
-			if int(o) < lo {
-				lo = int(o)
-			} else if int(o) > hi {
-				hi = int(o)
-			}
-		}
-		if hi >= n {
-			return fmt.Errorf("exec: GatherProjectEncInto: record %d out of range [0,%d)", hi, n)
-		}
-		// Region decode (see gather): partially clustered oid orders
-		// confine one range's records to a cache-sized slice of the
-		// image, so decoding the slice once beats re-decoding blocks on
-		// every cache miss.
-		if span := (hi - lo + 1) * width; span <= gatherRegionValues && span <= gatherSpanFactor*(r.Hi-r.Lo)*len(cols) {
-			base := lo * width
-			base -= base % compress.BlockSize
-			buf, err := d.rangeInto(&e.comp, enc, base, (hi+1)*width)
-			if err != nil {
-				return err
-			}
-			for i := r.Lo; i < r.Hi; i++ {
-				rec := buf[int(oids[i])*width-base:]
-				for k, c := range cols {
-					dst[i*dstWidth+dstOff+k] = rec[c]
-				}
-			}
-			return nil
-		}
-		for i := r.Lo; i < r.Hi; i++ {
-			base := int(oids[i]) * width
-			for k, c := range cols {
-				v, err := d.fetch(&e.comp, enc, base+c)
-				if err != nil {
-					return err
-				}
-				dst[i*dstWidth+dstOff+k] = v
-			}
-		}
-		return nil
-	})
-}
-
-// GatherProjectEnc is GatherProjectEncInto materialising a fresh
-// relation — the compressed-input GatherProject.
-func (e *Engine) GatherProjectEnc(name string, enc *compress.Encoded, width int, oids []OID, cols []int) (*nsm.Relation, error) {
-	out := nsm.New(name, len(oids), len(cols))
-	if err := e.GatherProjectEncInto(enc, width, out.Data, len(cols), 0, oids, cols); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// StitchRows builds the [key | π] wide tuples of a DSM pre-projection
-// scan from column views: the key column streams sequentially (decoded
-// in L1-sized spans when compressed) while the projection columns are
-// gathered through the selection oids, compressed ones via the
-// per-worker block cache. Declared for scan sharing under the key
-// stream's identity — encoded or raw — so concurrent pre-projection
-// queries over the same side are served by one pass.
-func (e *Engine) StitchRows(keys Col, cols []Col, oids []OID) ([]int32, error) {
-	n := keys.Len()
-	if len(oids) != n {
-		return nil, fmt.Errorf("exec: StitchRows: %d oids for %d keys", len(oids), n)
-	}
-	if keys.Compressed() {
-		e.comp.cols.Add(1)
-	}
-	for _, c := range cols {
-		if c.Compressed() {
-			e.comp.cols.Add(1)
-		}
-	}
-	w := 1 + len(cols)
-	rows := make([]int32, n*w)
-	key := ColumnScanKey(keys.Raw, n)
-	if keys.Compressed() {
-		key = EncScanKey(keys.Enc, n)
-	}
-	err := e.SharedRanges(key, n, func(r Range) error {
-		d := getDecoder()
-		defer d.release()
-		if keys.Compressed() {
-			for lo := r.Lo; lo < r.Hi; {
-				hi := lo + decodeSpanValues
-				if hi > r.Hi {
-					hi = r.Hi
-				}
-				buf, err := d.rangeInto(&e.comp, keys.Enc, lo, hi)
-				if err != nil {
-					return err
-				}
-				for i := lo; i < hi; i++ {
-					rows[i*w] = buf[i-lo]
-				}
-				lo = hi
-			}
-		} else {
-			for i := r.Lo; i < r.Hi; i++ {
-				rows[i*w] = keys.Raw[i]
-			}
-		}
-		for j, col := range cols {
-			off := j + 1
-			if col.Compressed() {
-				for i := r.Lo; i < r.Hi; i++ {
-					v, err := d.fetch(&e.comp, col.Enc, int(oids[i]))
-					if err != nil {
-						return err
-					}
-					rows[i*w+off] = v
-				}
-			} else {
-				for i := r.Lo; i < r.Hi; i++ {
-					rows[i*w+off] = col.Raw[oids[i]]
-				}
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
-}

@@ -25,11 +25,19 @@
 //   - Parallel Partitioned Hash-Join (join.go): partitions are
 //     morsels; per-partition match lists are stitched into the
 //     join-index in partition order.
-//   - Partition-wise post-projection (project.go): clustered fetches
-//     and Radix-Decluster run per cluster group, each worker
-//     scattering only into result positions owned by its clusters
-//     (the cluster contents partition the result permutation, so
-//     writes are disjoint) within a per-worker insertion window.
+//   - Partition-wise post-projection (project.go): Radix-Decluster
+//     runs per cluster group, each worker scattering only into result
+//     positions owned by its clusters (the cluster contents partition
+//     the result permutation, so writes are disjoint) within a
+//     per-worker insertion window.
+//   - Scans and gathers (col.go): column and record scans, the
+//     Positional-Join fetches (plain and clustered), record gathers and
+//     the DSM wide-tuple stitch. Each is written once over one input
+//     type, Col — a raw slice, a block-compressed encoding, or both;
+//     an NSM record image is a Col with a record width — and reads it
+//     through two primitives, a span read and a point gather, so raw
+//     and compressed inputs (compressed.go) share morsels, scan keys
+//     and output bytes.
 //
 // Beyond the operators, the package defines the Phase/Pipeline layer
 // every project-join strategy executes on (pipeline.go). The contract:
@@ -403,7 +411,6 @@ func (p *Pool) RunAff(ntasks int, aff func(task int) uint64, fn func(worker, tas
 // reused for the lifetime of the worker.
 type Scratch struct {
 	ints  []int
-	dec   *decoder          // compressed-column scratch (compressed.go), lazy
 	cache *mempool.Cache    // worker-local arena stash (nil = pooling off)
 	tjoin join.TableScratch // partition hash-table build scratch
 	rows  []int32           // per-morsel row staging (pre-projection probes)

@@ -191,8 +191,9 @@ func TestFetchManyMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	raw := []Col{{Raw: cols[0]}, {Raw: cols[1]}, {Raw: cols[2]}}
 	withPools(t, func(t *testing.T, p *Pool) {
-		got, err := p.FetchMany(cols, oids)
+		got, err := (&Engine{pool: p}).FetchMany(raw, oids)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -205,7 +206,7 @@ func TestFetchManyMatchesSerial(t *testing.T) {
 	copy(bad, oids)
 	bad[testN-1] = OID(testN + 5)
 	withPools(t, func(t *testing.T, p *Pool) {
-		if _, err := p.FetchMany(cols, bad); err == nil {
+		if _, err := (&Engine{pool: p}).FetchMany(raw, bad); err == nil {
 			t.Fatalf("workers=%d: missing out-of-range error", p.Workers())
 		}
 	})
@@ -230,7 +231,7 @@ func clusteredFixture(t *testing.T, bits int) (*core.Clustered, []int32, []int32
 func TestClusteredMatchesSerial(t *testing.T) {
 	cl, col, want := clusteredFixture(t, 8)
 	withPools(t, func(t *testing.T, p *Pool) {
-		got, err := p.Clustered(col, cl.SmallerOIDs, cl.Borders)
+		got, err := (&Engine{pool: p}).Clustered(Col{Raw: col}, cl.SmallerOIDs, cl.Borders)
 		if err != nil {
 			t.Fatal(err)
 		}

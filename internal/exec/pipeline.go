@@ -37,7 +37,6 @@ import (
 	"radixdecluster/internal/mem"
 	"radixdecluster/internal/mempool"
 	"radixdecluster/internal/obs"
-	"radixdecluster/internal/posjoin"
 	"radixdecluster/internal/radix"
 )
 
@@ -284,7 +283,6 @@ func (p *Pipeline) Execute() (Timings, error) {
 type Engine struct {
 	pool *Pool
 	comp compCounters // compressed-execution counters (compressed.go)
-	sdec *decoder     // serial-path compressed scratch, lazy
 }
 
 // NewEngine creates an engine: workers <= 0 selects the serial paper
@@ -412,22 +410,6 @@ func (e *Engine) SortOIDPairs(key, other []OID, h mem.Hierarchy) (*radix.OIDPair
 		return radix.SortOIDPairs(key, other, h)
 	}
 	return e.pool.SortOIDPairs(key, other, h)
-}
-
-// FetchMany runs one Positional-Join per projection column.
-func (e *Engine) FetchMany(cols [][]int32, oids []OID) ([][]int32, error) {
-	if e.pool == nil {
-		return posjoin.FetchMany(cols, oids)
-	}
-	return e.pool.FetchMany(cols, oids)
-}
-
-// Clustered runs the clustered Positional-Join over one column.
-func (e *Engine) Clustered(col []int32, oids []OID, borders []bat.Border) ([]int32, error) {
-	if e.pool == nil {
-		return posjoin.Clustered(col, oids, borders)
-	}
-	return e.pool.Clustered(col, oids, borders)
 }
 
 // ClusterForDecluster performs the Figure-4 re-clustering on this

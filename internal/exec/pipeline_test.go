@@ -185,15 +185,16 @@ func TestEngineScansMatchSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	src := Col{Raw: rel.Data, Width: omega}
 	for _, workers := range append([]int{0}, workerCounts...) {
 		e := NewEngine(workers)
-		if got := e.ScanColumn(rel, 1); !reflect.DeepEqual(got, wantCol) {
-			t.Fatalf("workers=%d: ScanColumn differs from serial", workers)
+		if got, err := e.ScanColumn(src, 1); err != nil || !reflect.DeepEqual(got, wantCol) {
+			t.Fatalf("workers=%d: ScanColumn differs from serial (%v)", workers, err)
 		}
-		if got := e.ScanProject(rel, "w", cols); !reflect.DeepEqual(got, wantProj) {
-			t.Fatalf("workers=%d: ScanProject differs from serial", workers)
+		if got, err := e.ScanProject(src, "w", cols); err != nil || !reflect.DeepEqual(got, wantProj) {
+			t.Fatalf("workers=%d: ScanProject differs from serial (%v)", workers, err)
 		}
-		got, err := e.GatherProject(rel, "g", oids, cols)
+		got, err := e.GatherProject(src, "g", oids, cols)
 		if err != nil {
 			t.Fatal(err)
 		}

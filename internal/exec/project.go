@@ -1,13 +1,14 @@
 package exec
 
-// Partition-wise post-projection: the clustered Positional-Join
-// fetches and the Radix-Decluster run over groups of radix clusters.
-// Every cluster confines its random access to one cache-sized region
-// of the source column (§3.1), so cluster groups are independent
-// morsels; and because the clustered result positions partition the
-// result permutation, each group declusters into a disjoint set of
-// result slots — workers share the output array without overlap, and
-// the scatter produces the same bytes the serial algorithm would.
+// Partition-wise post-projection: the Radix-Decluster runs over groups
+// of radix clusters, like the clustered Positional-Join fetch
+// (Engine.Clustered, col.go). Every cluster confines its random access
+// to one cache-sized region of the source column (§3.1), so cluster
+// groups are independent morsels; and because the clustered result
+// positions partition the result permutation, each group declusters
+// into a disjoint set of result slots — workers share the output array
+// without overlap, and the scatter produces the same bytes the serial
+// algorithm would.
 //
 // Each worker's insertion window is the serial window divided by the
 // number of active workers (the shared cache budget split per core),
@@ -18,65 +19,7 @@ import (
 	"fmt"
 
 	"radixdecluster/internal/bat"
-	"radixdecluster/internal/posjoin"
 )
-
-// FetchMany is the parallel equivalent of posjoin.FetchMany: one
-// Positional-Join per projection column, each column gathered by all
-// workers over contiguous oid ranges.
-func (p *Pool) FetchMany(cols [][]int32, oids []OID) ([][]int32, error) {
-	if p.workers == 1 || len(oids) < MinParallelN {
-		return posjoin.FetchMany(cols, oids)
-	}
-	out := make([][]int32, len(cols))
-	for c := range cols {
-		out[c] = make([]int32, len(oids))
-	}
-	chunks := p.chunksFor(len(oids))
-	ntasks := len(cols) * len(chunks)
-	errs := p.errSlots(ntasks)
-	// The affinity key is the oid-range chunk, not the (column, chunk)
-	// task: every column's fetch of the same oid range homes on one
-	// worker, which then holds that range of the join-index hot across
-	// all π columns.
-	p.RunAff(ntasks, func(t int) uint64 { return uint64(t % len(chunks)) }, func(_, t int, _ *Scratch) {
-		c, r := t/len(chunks), chunks[t%len(chunks)]
-		if err := posjoin.FetchInto(out[c][r.Lo:r.Hi], cols[c], oids[r.Lo:r.Hi]); err != nil {
-			errs[t] = fmt.Errorf("column %d: %w", c, err)
-		}
-	})
-	if err := firstErr(errs); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// Clustered is the parallel equivalent of posjoin.Clustered: cluster
-// groups are morsels, each restricting its random access to its own
-// cache-sized regions of col.
-func (p *Pool) Clustered(col []int32, oids []OID, borders []bat.Border) ([]int32, error) {
-	if p.workers == 1 || len(oids) < MinParallelN {
-		return posjoin.Clustered(col, oids, borders)
-	}
-	if err := bat.ValidateBorders(borders, len(oids)); err != nil {
-		return nil, err
-	}
-	out := make([]int32, len(oids))
-	groups := groupBorders(borders, p.workers*morselsPerWorker, len(oids))
-	errs := p.errSlots(len(groups))
-	p.Run(len(groups), func(_, t int, _ *Scratch) {
-		for _, b := range borders[groups[t].Lo:groups[t].Hi] {
-			if err := posjoin.FetchInto(out[b.Start:b.End], col, oids[b.Start:b.End]); err != nil {
-				errs[t] = err
-				return
-			}
-		}
-	})
-	if err := firstErr(errs); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
 
 // Decluster is the parallel equivalent of core.Decluster: cluster
 // groups are morsels, each running the Figure-6 insertion-window loop

@@ -2,12 +2,12 @@ package exec
 
 // Parallel operators over row-major (NSM / wide-tuple) data: the
 // radix-clustering of whole records, the payload-carrying
-// pre-projection joins, the record scans and gathers of the NSM
-// strategies, and the row variant of Radix-Decluster. Morsels are
-// contiguous record ranges (scans, stitches, probes), partitions
-// (joins), or cluster groups (gathers, decluster) — each writing a
-// disjoint slice of the output, so every operator reproduces its
-// serial counterpart byte for byte.
+// pre-projection joins, record assembly, and the row variant of
+// Radix-Decluster (the record scans and gathers live with the other
+// scans and gathers in col.go). Morsels are contiguous record ranges
+// (assembly, probes), partitions (joins), or cluster groups
+// (decluster) — each writing a disjoint slice of the output, so every
+// operator reproduces its serial counterpart byte for byte.
 
 import (
 	"fmt"
@@ -238,57 +238,6 @@ func (e *Engine) HashRowsJoin(larger []int32, lw, lkey int, smaller []int32, sw,
 		return join.HashRows(larger, lw, lkey, smaller, sw, skey)
 	}
 	return e.pool.HashRows(larger, lw, lkey, smaller, sw, skey)
-}
-
-// ScanColumn extracts one attribute of every record — the strided
-// key-extraction scan of the NSM post-projection strategies, chunked
-// over record ranges. The relation's record array is its scan source:
-// concurrent pipelines sweeping the same records (any attribute, any
-// projection list) share one pass on a scan-sharing runtime.
-func (e *Engine) ScanColumn(rel *nsm.Relation, col int) []int32 {
-	out := make([]int32, rel.Len())
-	_ = e.SharedRanges(RowsScanKey(rel.Data, rel.Len()), rel.Len(), func(r Range) error {
-		rel.ScanColumnInto(out, col, r.Lo, r.Hi)
-		return nil
-	})
-	return out
-}
-
-// ScanProject materialises the paper's "NSM projection routine" scan
-// as a narrower relation, chunked over record ranges and shareable
-// with every other scan over the same records (see ScanColumn).
-func (e *Engine) ScanProject(rel *nsm.Relation, name string, cols []int) *nsm.Relation {
-	out := nsm.New(name, rel.Len(), len(cols))
-	_ = e.SharedRanges(RowsScanKey(rel.Data, rel.Len()), rel.Len(), func(r Range) error {
-		rel.ScanProjectInto(out, r.Lo, r.Hi, cols)
-		return nil
-	})
-	return out
-}
-
-// GatherProjectInto fetches the attributes named by cols from the
-// records selected by oids into a row-major buffer at field offset
-// dstOff, chunked over oid ranges (disjoint destination records).
-func (e *Engine) GatherProjectInto(rel *nsm.Relation, dst []int32, dstWidth, dstOff int, oids []OID, cols []int) error {
-	if dstOff < 0 || dstOff+len(cols) > dstWidth {
-		return fmt.Errorf("nsm: GatherProjectInto: fields [%d,%d) outside record width %d", dstOff, dstOff+len(cols), dstWidth)
-	}
-	if len(dst) != len(oids)*dstWidth {
-		return fmt.Errorf("nsm: GatherProjectInto: dst holds %d records, want %d", len(dst)/dstWidth, len(oids))
-	}
-	return e.ForRanges(len(oids), func(r Range) error {
-		return rel.GatherProjectInto(dst[r.Lo*dstWidth:r.Hi*dstWidth], dstWidth, dstOff, oids[r.Lo:r.Hi], cols)
-	})
-}
-
-// GatherProject fetches the attributes named by cols from the records
-// selected by oids into a new relation, chunked over oid ranges.
-func (e *Engine) GatherProject(rel *nsm.Relation, name string, oids []OID, cols []int) (*nsm.Relation, error) {
-	out := nsm.New(name, len(oids), len(cols))
-	if err := e.GatherProjectInto(rel, out.Data, len(cols), 0, oids, cols); err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // AppendFields glues two equal-cardinality relations side by side,

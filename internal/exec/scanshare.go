@@ -35,10 +35,10 @@ package exec
 // queue-wait accounting all apply unchanged.
 
 import (
-	"reflect"
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"radixdecluster/internal/compress"
 )
@@ -76,7 +76,7 @@ func RowsScanKey(data []int32, n int) ScanKey {
 	if len(data) == 0 || n <= 0 {
 		return ScanKey{}
 	}
-	return ScanKey{base: reflect.ValueOf(data).Pointer(), n: n, kind: scanKindRows}
+	return ScanKey{base: arrayBase(data), n: n, kind: scanKindRows}
 }
 
 // ColumnScanKey identifies a column-driven scan (e.g. a DSM side's
@@ -86,7 +86,7 @@ func ColumnScanKey(col []int32, n int) ScanKey {
 	if len(col) == 0 || n <= 0 {
 		return ScanKey{}
 	}
-	return ScanKey{base: reflect.ValueOf(col).Pointer(), n: n, kind: scanKindColumn}
+	return ScanKey{base: arrayBase(col), n: n, kind: scanKindColumn}
 }
 
 // EncScanKey identifies a scan-shaped pass over a block-compressed
@@ -97,8 +97,12 @@ func EncScanKey(enc *compress.Encoded, n int) ScanKey {
 	if enc == nil || enc.CompressedBytes() == 0 || n <= 0 {
 		return ScanKey{}
 	}
-	return ScanKey{base: reflect.ValueOf(enc.Bytes()).Pointer(), n: n, kind: scanKindEnc}
+	return ScanKey{base: arrayBase(enc.Bytes()), n: n, kind: scanKindEnc}
 }
+
+// arrayBase is the address of a slice's backing array — a scan
+// identity, never dereferenced.
+func arrayBase[T any](s []T) uintptr { return uintptr(unsafe.Pointer(unsafe.SliceData(s))) }
 
 // sharedScan is one live circular pass. All fields are guarded by the
 // owning registry's mutex: serves hold it only to claim a position and

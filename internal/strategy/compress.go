@@ -3,15 +3,18 @@ package strategy
 // Compressed execution at the strategy layer (§5 footnote 5): when a
 // side carries block-compressed images of its columns, the strategies
 // can run their scans, gathers and clustered fetches over the encoded
-// bytes — the memory bus carries the compressed stream while per-worker
+// bytes — the memory bus carries the compressed stream while per-morsel
 // scratch holds the L1-resident decoded spans, so a bandwidth-bound
-// plan's ceiling drops to the compression ratio. The decision is the
+// plan's ceiling drops to the compression ratio. The representation is
+// only a choice of operator input: a side hands the engine exec.Cols
+// carrying the encodings or not, and the same operator calls run
+// either way. The decision is the
 // planner's: costmodel.PlanCompressed compares the raw plan against
 // the transformed one (sequential bus traffic scaled by the measured
 // ratio, CPU grown by the calibrated decode cost) at each
 // representation's best worker count. Output bytes are identical
-// either way — the raw arrays always coexist, and every compressed
-// operator decodes to exactly the same values.
+// either way — the raw arrays always coexist, and every operator
+// decodes to exactly the same values.
 
 import (
 	"radixdecluster/internal/compress"
@@ -115,17 +118,17 @@ func (s DSMSide) encs() []*compress.Encoded {
 	return append([]*compress.Encoded{s.KeysEnc}, s.ColsEnc...)
 }
 
-// view returns projection column k as an execution view: compressed
+// view returns projection column k as an operator input: compressed
 // when requested and an encoding exists, raw otherwise.
 func (s DSMSide) view(k int, comp bool) exec.Col {
-	c := exec.RawCol(s.Cols[k])
-	if comp && k < len(s.ColsEnc) && s.ColsEnc[k] != nil {
+	c := exec.Col{Raw: s.Cols[k]}
+	if comp && k < len(s.ColsEnc) {
 		c.Enc = s.ColsEnc[k]
 	}
 	return c
 }
 
-// views returns every projection column as an execution view.
+// views returns every projection column as an operator input.
 func (s DSMSide) views(comp bool) []exec.Col {
 	out := make([]exec.Col, len(s.Cols))
 	for k := range s.Cols {
@@ -134,11 +137,21 @@ func (s DSMSide) views(comp bool) []exec.Col {
 	return out
 }
 
-// keysView returns the key column as an execution view.
+// keysView returns the key column as an operator input.
 func (s DSMSide) keysView(comp bool) exec.Col {
-	c := exec.RawCol(s.Keys)
-	if comp && s.KeysEnc != nil {
+	c := exec.Col{Raw: s.Keys}
+	if comp {
 		c.Enc = s.KeysEnc
+	}
+	return c
+}
+
+// col returns the side's record array as an operator input: the
+// compressed image when comp asks for it and one exists, raw otherwise.
+func (s NSMSide) col(comp bool) exec.Col {
+	c := exec.Col{Raw: s.Rel.Data, Width: s.Rel.Width}
+	if comp {
+		c.Enc = s.Enc
 	}
 	return c
 }

@@ -135,3 +135,58 @@ func TestSideEncodingValidation(t *testing.T) {
 		t.Fatal("mismatched record encoding accepted")
 	}
 }
+
+// TestOutOfRangeOIDIsAnError: a selection oid past the base columns
+// must fail DSM pre- and post-projection alike — raw or compressed,
+// serial or parallel — rather than panic inside a worker.
+func TestOutOfRangeOIDIsAnError(t *testing.T) {
+	const n, baseN = 1 << 15, 8
+	side := func(bad bool) DSMSide {
+		s := DSMSide{OIDs: make([]OID, n), Keys: make([]int32, n), BaseN: baseN}
+		for i := range s.OIDs {
+			s.OIDs[i], s.Keys[i] = OID(i%baseN), int32(i)
+		}
+		if bad {
+			s.OIDs[n-1] = 100
+		}
+		for c := 0; c < 2; c++ {
+			col := make([]int32, baseN)
+			for i := range col {
+				col[i] = int32(10*c + i)
+			}
+			s.Cols = append(s.Cols, col)
+		}
+		return s
+	}
+	encodeAll := func(s *DSMSide) {
+		var err error
+		if s.KeysEnc, err = compress.EncodeBest(s.Keys); err != nil {
+			t.Fatal(err)
+		}
+		s.ColsEnc = make([]*compress.Encoded, len(s.Cols))
+		for c, col := range s.Cols {
+			if s.ColsEnc[c], err = compress.EncodeBest(col); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, comp := range []CompressMode{CompressOff, CompressOn} {
+		for _, par := range []int{0, 2} {
+			l, s := side(true), side(false)
+			if comp == CompressOn {
+				encodeAll(&l)
+				encodeAll(&s)
+			}
+			cfg := Config{Hier: mem.Small(), Compress: comp, Parallelism: par}
+			tag := fmt.Sprintf("compress=%v parallelism=%d", comp, par)
+			if _, err := DSMPre(l, s, cfg); err == nil {
+				t.Errorf("%s: DSMPre accepted oid 100 of BaseN %d", tag, baseN)
+			}
+			for _, m := range [][2]ProjMethod{{Unsorted, Unsorted}, {PartialCluster, Declustered}} {
+				if _, err := DSMPost(l, s, m[0], m[1], cfg); err == nil {
+					t.Errorf("%s: DSMPost %c/%c accepted oid 100 of BaseN %d", tag, m[0], m[1], baseN)
+				}
+			}
+		}
+	}
+}

@@ -45,29 +45,21 @@ func (s NSMSide) validate(name string) error {
 
 // scanWide extracts the [key | π] wide tuples of an NSM
 // pre-projection scan, record at a time (the paper's "NSM projection
-// routine"), chunked on the engine; compressed runs read the encoded
-// record stream instead.
+// routine"), chunked on the engine.
 func (s NSMSide) scanWide(e *exec.Engine, comp bool) ([]int32, int, error) {
 	cols := make([]int, 0, len(s.ProjCols)+1)
 	cols = append(cols, s.KeyCol)
 	cols = append(cols, s.ProjCols...)
-	if comp && s.Enc != nil {
-		rel, err := e.ScanProjectEnc(s.Rel.Name+"_wide", s.Enc, s.Rel.Width, cols)
-		if err != nil {
-			return nil, 0, err
-		}
-		return rel.Data, rel.Width, nil
+	rel, err := e.ScanProject(s.col(comp), s.Rel.Name+"_wide", cols)
+	if err != nil {
+		return nil, 0, err
 	}
-	rel := e.ScanProject(s.Rel, s.Rel.Name+"_wide", cols)
 	return rel.Data, rel.Width, nil
 }
 
 // scanKeys extracts the side's key column for the join-index build.
 func (s NSMSide) scanKeys(e *exec.Engine, comp bool) ([]int32, error) {
-	if comp && s.Enc != nil {
-		return e.ScanColumnEnc(s.Enc, s.Rel.Width, s.KeyCol)
-	}
-	return e.ScanColumn(s.Rel, s.KeyCol), nil
+	return e.ScanColumn(s.col(comp), s.KeyCol)
 }
 
 // NSMPre runs NSM pre-projection: projection attributes are copied
@@ -236,10 +228,7 @@ func NSMPostDecluster(larger, smaller NSMSide, cfg Config) (*Result, error) {
 	pl.Then(exec.PhaseProjectLarger, "gather-larger", func(e *exec.Engine) error {
 		res.RowWidth = piL + piS
 		res.Rows = make([]int32, res.N*res.RowWidth)
-		if useComp && larger.Enc != nil {
-			return e.GatherProjectEncInto(larger.Enc, larger.Rel.Width, res.Rows, res.RowWidth, 0, cl.Key, larger.ProjCols)
-		}
-		return e.GatherProjectInto(larger.Rel, res.Rows, res.RowWidth, 0, cl.Key, larger.ProjCols)
+		return e.GatherProjectInto(larger.col(useComp), res.Rows, res.RowWidth, 0, cl.Key, larger.ProjCols)
 	})
 
 	// Smaller side: re-cluster on the smaller oid, gather the fields
@@ -256,11 +245,7 @@ func NSMPostDecluster(larger, smaller NSMSide, cfg Config) (*Result, error) {
 		var clustered *nsm.Relation
 		pl.Then(exec.PhaseProjectSmaller, "gather-smaller", func(e *exec.Engine) error {
 			var err error
-			if useComp && smaller.Enc != nil {
-				clustered, err = e.GatherProjectEnc("sproj", smaller.Enc, smaller.Rel.Width, cl2.SmallerOIDs, smaller.ProjCols)
-			} else {
-				clustered, err = e.GatherProject(smaller.Rel, "sproj", cl2.SmallerOIDs, smaller.ProjCols)
-			}
+			clustered, err = e.GatherProject(smaller.col(useComp), "sproj", cl2.SmallerOIDs, smaller.ProjCols)
 			return err
 		})
 		pl.Then(exec.PhaseDecluster, "radix-decluster-rows", func(e *exec.Engine) error {

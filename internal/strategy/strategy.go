@@ -375,16 +375,17 @@ func DSMPost(larger, smaller DSMSide, lm, sm ProjMethod, cfg Config) (*Result, e
 	res := &Result{Workers: pl.Workers(), LargerMethod: lm, SmallerMethod: sm, Compressed: useComp}
 
 	// Phase 1: join-index via Partitioned Hash-Join on the key BATs.
-	// Compressed key columns are materialised first — a scan-shaped
-	// decode pass that reads only the encoded bytes from RAM.
+	// Compressed key columns are decoded first — a scan-shaped pass
+	// that reads only the encoded bytes from RAM; raw ones are used as
+	// they are.
 	lKeys, sKeys := larger.Keys, smaller.Keys
-	if useComp && (larger.KeysEnc != nil || smaller.KeysEnc != nil) {
+	if lk, sk := larger.keysView(useComp), smaller.keysView(useComp); lk.Compressed() || sk.Compressed() {
 		pl.Then(exec.PhaseScan, "decompress-keys", func(e *exec.Engine) error {
 			var err error
-			if lKeys, err = e.MaterializeCol(larger.keysView(true)); err != nil {
+			if lKeys, err = e.ScanColumn(lk, 0); err != nil {
 				return err
 			}
-			sKeys, err = e.MaterializeCol(smaller.keysView(true))
+			sKeys, err = e.ScanColumn(sk, 0)
 			return err
 		})
 	}
@@ -433,7 +434,7 @@ func DSMPost(larger, smaller DSMSide, lm, sm ProjMethod, cfg Config) (*Result, e
 			largerOIDs, smallerInResultOrder = ji.Larger, ji.Smaller
 		}
 		var err error
-		res.LargerCols, err = e.FetchManyCols(larger.views(useComp), largerOIDs)
+		res.LargerCols, err = e.FetchMany(larger.views(useComp), largerOIDs)
 		return err
 	})
 
@@ -442,7 +443,7 @@ func DSMPost(larger, smaller DSMSide, lm, sm ProjMethod, cfg Config) (*Result, e
 	case Unsorted:
 		pl.Then(exec.PhaseProjectSmaller, "fetch-smaller", func(e *exec.Engine) error {
 			var err error
-			res.SmallerCols, err = e.FetchManyCols(smaller.views(useComp), smallerInResultOrder)
+			res.SmallerCols, err = e.FetchMany(smaller.views(useComp), smallerInResultOrder)
 			return err
 		})
 	case Declustered:
@@ -471,7 +472,7 @@ func DSMPost(larger, smaller DSMSide, lm, sm ProjMethod, cfg Config) (*Result, e
 			var cv []int32
 			pl.Then(exec.PhaseProjectSmaller, "fetch-clustered", func(e *exec.Engine) error {
 				var err error
-				cv, err = e.ClusteredCol(smaller.view(k, useComp), cl.SmallerOIDs, cl.Borders)
+				cv, err = e.Clustered(smaller.view(k, useComp), cl.SmallerOIDs, cl.Borders)
 				return err
 			})
 			pl.Then(exec.PhaseDecluster, "radix-decluster", func(e *exec.Engine) error {
